@@ -7,7 +7,7 @@ supervised worker processes (deadlines, retries, crash-safe resume —
 see :mod:`repro.core.runner` and :mod:`repro.core.journal`);
 :class:`ArtifactCache` is the persistent store that makes fresh
 processes cheap (see :mod:`repro.core.cache`);
-:class:`ColumnStore` is the typed columnar substrate worlds share
+:class:`ColumnStore` is a typed columnar store that can be shared
 zero-copy across worker processes (see :mod:`repro.core.columns`).
 """
 

@@ -1,10 +1,8 @@
 """Typed columnar stores with zero-copy sharing across processes.
 
-The object-graph worlds that reproduce the paper top out far below the
-"millions of subscribers" the north star asks for: every entity is a
-Python object, and every pool worker unpickles its own full copy. This
-module is the storage half of the fix — hot entity populations live in
-typed :mod:`array` columns inside a :class:`ColumnStore`, which
+Python object graphs cost a heap object per entity, and every pool
+worker unpickles its own copy. A :class:`ColumnStore` keeps hot
+per-entity fields in typed :mod:`array` columns instead, which
 
 * serializes to one contiguous, **byte-deterministic** snapshot blob
   (header JSON + 8-aligned column payloads), so equal inputs always
@@ -24,8 +22,8 @@ tracker — the *parent* owns the segment's lifetime, and letting every
 worker's tracker unlink it on exit would tear the mapping out from
 under its siblings (a known CPython gotcha on 3.9–3.12).
 
-The view layer over these columns (subscriber populations exposing the
-``cellular`` entity APIs) lives in :mod:`repro.worlds.population`.
+:class:`~repro.measure.query.ColumnQuery` filters and aggregates a
+store without materializing rows.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ by content fingerprint). After a ``kill -9``, a SIGINT or a power cut,
 results straight from the cache, and runs only the remaining shard —
 producing byte-identical exports to an uninterrupted run.
 
-Write/read discipline mirrors :mod:`repro.obs.history`:
+Write/read discipline is :mod:`repro.obs.appendlog`'s, shared with
+:mod:`repro.obs.history`:
 
 * **Atomic appends.** One ``\\n``-terminated line per entry, written
   with a single ``os.write`` on an ``O_APPEND`` descriptor; a crashed
@@ -25,10 +26,11 @@ Write/read discipline mirrors :mod:`repro.obs.history`:
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
+
+from repro.obs import appendlog
 
 #: Bump when a reader can no longer interpret older journals.
 SCHEMA_VERSION = 1
@@ -78,24 +80,7 @@ class RunJournal:
 
     def append(self, entry: JournalEntry) -> None:
         """Persist one completion; atomic against a concurrent crash."""
-        line = json.dumps(entry.to_jsonable(), sort_keys=True) + "\n"
-        if self._needs_leading_newline():
-            # A killed writer left an unterminated line: seal it off so
-            # this entry starts fresh. Still one write either way.
-            line = "\n" + line
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-        finally:
-            os.close(fd)
-
-    def _needs_leading_newline(self) -> bool:
-        try:
-            with self.path.open("rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except OSError:  # missing or empty file
-            return False
+        appendlog.append_record(self.path, entry.to_jsonable())
 
     # -- read ----------------------------------------------------------------
 
@@ -106,24 +91,9 @@ class RunJournal:
         lines; the last loadable entry per artefact wins. Returns
         ``(None, {})`` for a missing or headerless file.
         """
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return None, {}
         workload: Optional[str] = None
         entries: Dict[str, JournalEntry] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated or garbage: keep the rest
-            if not isinstance(data, dict):
-                continue
-            if data.get("schema", SCHEMA_VERSION) > SCHEMA_VERSION:
-                continue  # written by a newer repro: skip, don't guess
+        for data in appendlog.read_records(self.path, SCHEMA_VERSION):
             kind = data.get("kind")
             if kind == "header":
                 workload = data.get("workload")

@@ -16,20 +16,16 @@ in-memory layer (pass ``disk=True`` to also wipe the store).
 
 from __future__ import annotations
 
-import pathlib
-import shutil
 from typing import Dict, Optional, Tuple
 
 import repro
 from repro import obs
 from repro.core import cache as _cache
-from repro.core.columns import ColumnError, SnapshotDescriptor
 from repro.faults import ChaosConfig
 from repro.geo import CountryRegistry, default_country_registry
 from repro.market import CrawlDataset, EsimDB, MarketCrawler, build_provider_universe
 from repro.measure.dataset import MeasurementDataset
 from repro.worlds import AiraloWorld, build_airalo_world
-from repro.worlds.population import Population, attach_population, build_population
 
 #: Default fraction of the Table 4 test counts the experiments replay.
 #: 0.15 keeps a bench run in seconds while every per-country series stays
@@ -41,8 +37,6 @@ _worlds: Dict[int, AiraloWorld] = {}
 _device_datasets: Dict[Tuple[int, float, Optional[ChaosConfig]], MeasurementDataset] = {}
 _web_datasets: Dict[Tuple[int, Optional[ChaosConfig]], MeasurementDataset] = {}
 _market: Dict[int, Tuple[EsimDB, CrawlDataset]] = {}
-_populations: Dict[Tuple[int, float], Population] = {}
-_adopted_population: Optional[Population] = None
 _countries: Optional[CountryRegistry] = None
 
 
@@ -138,86 +132,6 @@ def get_market(step_days: int = 7) -> Tuple[EsimDB, CrawlDataset]:
     return _market[step_days]
 
 
-def population_snapshot_path(
-    seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE
-) -> pathlib.Path:
-    """Where the columnar population snapshot for ``(seed, scale)`` lives.
-
-    Snapshots are raw :class:`~repro.core.columns.ColumnStore` blobs —
-    not pickles — kept in a ``populations/`` subdirectory so the pickle
-    store's ``clear()`` (which only globs ``*.pkl`` in its root) leaves
-    them alone; ``clear_caches(disk=True)`` removes the directory.
-    """
-    store = _cache.get_default_cache()
-    key = _disk_key("population", seed=seed, scale=scale)
-    return (
-        store.root / "populations"
-        / f"population-seed{seed}-scale{scale:g}-{key[:12]}.cols"
-    )
-
-
-def get_population(
-    seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE
-) -> Population:
-    """The columnar subscriber population for ``(seed, scale)``.
-
-    Resolution order: a snapshot adopted from the parent process
-    (zero-copy shared memory, see :func:`adopt_population`), then the
-    process-local memo, then an mmap of the on-disk snapshot — the
-    columnar replacement for unpickling a world copy per process —
-    and only then a build (persisted for the next process).
-    """
-    adopted = _adopted_population
-    if adopted is not None and adopted.seed == seed and adopted.scale == scale:
-        return adopted
-    key = (seed, scale)
-    if key not in _populations:
-        with obs.span("input.population", seed=seed, scale=scale) as span:
-            store = _cache.get_default_cache()
-            path = population_snapshot_path(seed, scale)
-            population = None
-            if store.enabled and path.exists():
-                try:
-                    population = Population.load(path)
-                    span.set(source="mmap")
-                except (ColumnError, ValueError, OSError):
-                    population = None
-            if population is None:
-                span.set(source="build")
-                population = build_population(seed, scale)
-                if store.enabled:
-                    try:
-                        path.parent.mkdir(parents=True, exist_ok=True)
-                        population.save(path)
-                    except OSError:
-                        pass
-        _populations[key] = population
-    return _populations[key]
-
-
-def adopt_population(descriptor: SnapshotDescriptor) -> Population:
-    """Attach the parent's published population snapshot (worker side).
-
-    Adopted once per worker from ``StudyRunner``'s pool initializer;
-    subsequent :func:`get_population` calls for the same ``(seed,
-    scale)`` return the shared zero-copy view instead of loading or
-    building a private copy.
-    """
-    global _adopted_population
-    release_adopted_population()
-    population, _ = attach_population(descriptor)
-    _adopted_population = population
-    return population
-
-
-def release_adopted_population() -> None:
-    """Drop the adopted shared snapshot, releasing its mapping."""
-    global _adopted_population
-    if _adopted_population is not None:
-        population, _adopted_population = _adopted_population, None
-        population.close()
-
-
 def clear_caches(disk: bool = False) -> None:
     """Drop every cached world/dataset (for isolation in tests).
 
@@ -229,9 +143,5 @@ def clear_caches(disk: bool = False) -> None:
     _device_datasets.clear()
     _web_datasets.clear()
     _market.clear()
-    _populations.clear()
-    release_adopted_population()
     if disk:
-        store = _cache.get_default_cache()
-        store.clear()
-        shutil.rmtree(store.root / "populations", ignore_errors=True)
+        _cache.get_default_cache().clear()

@@ -39,6 +39,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro import obs
 
 #: Query kind -> the MeasurementDataset attribute holding its records.
@@ -335,12 +337,7 @@ def select(dataset: Any, kind: str) -> RecordQuery:
 
 # -- columnar queries ---------------------------------------------------------
 
-try:  # numpy is a declared dependency, but the query layer degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
-
-#: array typecode -> numpy dtype string for the zero-copy fast path.
+#: array typecode -> numpy dtype string for the zero-copy column view.
 _TYPECODE_DTYPES: Dict[str, str] = {
     "b": "<i1", "B": "<u1", "h": "<i2", "H": "<u2",
     "q": "<i8", "Q": "<u8", "f": "<f4", "d": "<f8",
@@ -355,27 +352,31 @@ class ColumnQuery:
     a memory-mapped snapshot or an attached shared-memory segment alike.
     String-table columns accept their labels transparently::
 
-        q = population.query().where(country="JPN", kind=1)
-        q.count(), q.mean("monthly_mb"), q.count_by("architecture")
+        store = ColumnStore()
+        country = store.new_column("country", "H", strings="country")
+        volume = store.new_column("volume", "d")
+        for iso3, mb in (("JPN", 10.0), ("ESP", 20.0), ("JPN", 30.0)):
+            country.append(store.strings("country").code(iso3))
+            volume.append(mb)
+        q = ColumnQuery(store).where(country="JPN")
+        q.count(), q.mean("volume")          # (2, 20.0)
+        ColumnQuery(store).count_by("country")  # {"ESP": 1, "JPN": 2}
 
-    Aggregation goes through ``numpy.frombuffer`` when numpy is present
-    (zero-copy, no per-row Python objects — this is what keeps worker
-    RSS flat over a shared snapshot) with a pure-Python fallback.
+    Aggregation goes through ``numpy.frombuffer`` (zero-copy, no
+    per-row Python objects).
     """
 
     def __init__(self, store: Any, mask: Optional[Any] = None) -> None:
         self._store = store
-        self._mask = mask  # None = all rows; else one truthy flag per row
+        self._mask = mask  # None = all rows; else a boolean array per row
 
     # -- plumbing -------------------------------------------------------------
 
     def _column(self, name: str) -> Any:
-        view = self._store.column(name)
-        if _np is not None:
-            return _np.frombuffer(
-                view, dtype=_TYPECODE_DTYPES[self._store.typecode(name)]
-            )
-        return view
+        return np.frombuffer(
+            self._store.column(name),
+            dtype=_TYPECODE_DTYPES[self._store.typecode(name)],
+        )
 
     def _encode(self, name: str, value: Any) -> Any:
         if isinstance(value, str):
@@ -404,43 +405,25 @@ class ColumnQuery:
             if value is None:
                 continue
             code = self._encode(name, value)
-            column = self._column(name)
-            if _np is not None:
-                matched = column == code
-                mask = matched if mask is None else (mask & matched)
-            else:
-                matched = bytearray(
-                    1 if item == code else 0 for item in column
-                )
-                if mask is not None:
-                    matched = bytearray(
-                        a & b for a, b in zip(mask, matched)
-                    )
-                mask = matched
+            matched = self._column(name) == code
+            mask = matched if mask is None else (mask & matched)
         if mask is self._mask:
             return self
         return ColumnQuery(self._store, mask)
 
     # -- aggregates -----------------------------------------------------------
 
+    def _selected(self, name: str) -> Any:
+        column = self._column(name)
+        return column if self._mask is None else column[self._mask]
+
     def count(self) -> int:
         if self._mask is None:
             return self._rows()
-        if _np is not None:
-            return int(self._mask.sum())
-        return sum(self._mask)
+        return int(self._mask.sum())
 
     def sum(self, name: str) -> float:
-        column = self._column(name)
-        if _np is not None:
-            if self._mask is not None:
-                column = column[self._mask]
-            return float(column.sum())
-        if self._mask is None:
-            return float(sum(column))
-        return float(
-            sum(item for item, keep in zip(column, self._mask) if keep)
-        )
+        return float(self._selected(name).sum())
 
     def mean(self, name: str) -> float:
         n = self.count()
@@ -452,19 +435,8 @@ class ColumnQuery:
 
     def count_by(self, name: str) -> Dict[Any, int]:
         """Row counts per distinct value, decoded and ordered by label."""
-        column = self._column(name)
-        if _np is not None:
-            if self._mask is not None:
-                column = column[self._mask]
-            codes, counts = _np.unique(column, return_counts=True)
-            raw = dict(zip(codes.tolist(), counts.tolist()))
-        else:
-            raw = {}
-            flags = self._mask if self._mask is not None else None
-            for position, item in enumerate(column):
-                if flags is not None and not flags[position]:
-                    continue
-                raw[item] = raw.get(item, 0) + 1
+        codes, counts = np.unique(self._selected(name), return_counts=True)
+        raw = dict(zip(codes.tolist(), counts.tolist()))
         table = self._store.strings_for(name)
         if table is None:
             return {value: raw[value] for value in sorted(raw)}

@@ -9,16 +9,13 @@ regression engine (:mod:`repro.obs.regress`) and the HTML report
 (``python -m repro report``) read it back to turn isolated snapshots
 into longitudinal trend data.
 
-Design rules mirror :mod:`repro.core.cache`:
+Design rules:
 
-* **Atomic appends.** A record is serialized to one ``\\n``-terminated
-  line and written with a single ``os.write`` on an ``O_APPEND`` file
-  descriptor, so two concurrent ``run-all --history`` invocations can
-  never interleave bytes within each other's records.
-* **Corruption tolerance.** Loads skip anything they cannot use — a
-  truncated final line from a killed writer, garbage bytes, records
-  with an unknown (newer) schema version — and keep every record that
-  parses. The store can always be appended to; it never needs repair.
+* **Atomic appends, corruption-tolerant loads** through
+  :mod:`repro.obs.appendlog`: two concurrent ``run-all --history``
+  invocations never interleave bytes within each other's records, and
+  a truncated line, garbage bytes or a newer-schema record is skipped
+  while every record that parses is kept. The store never needs repair.
 * **Versioned schema.** Every record carries ``schema``; readers accept
   records up to their own :data:`SCHEMA_VERSION` and skip newer ones
   instead of misinterpreting them.
@@ -26,7 +23,6 @@ Design rules mirror :mod:`repro.core.cache`:
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
@@ -34,6 +30,8 @@ import time
 import uuid
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Union
+
+from repro.obs import appendlog
 
 #: Bump when a reader can no longer interpret older records.
 SCHEMA_VERSION = 1
@@ -249,58 +247,22 @@ class HistoryStore:
     def append(self, record: RunRecord) -> RunRecord:
         """Persist ``record`` as one line; atomic against concurrent appends."""
         self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_jsonable(), sort_keys=True) + "\n"
-        if self._needs_leading_newline():
-            # A killed writer left a partial line with no terminator; seal
-            # it off so this record starts on a fresh line. Still a single
-            # write: the healthy path always leaves the file \n-terminated.
-            line = "\n" + line
-        fd = os.open(
-            self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-        )
-        try:
-            os.write(fd, line.encode("utf-8"))
-        finally:
-            os.close(fd)
+        appendlog.append_record(self.path, record.to_jsonable())
         return record
-
-    def _needs_leading_newline(self) -> bool:
-        try:
-            with self.path.open("rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except OSError:  # missing or empty file
-            return False
 
     # -- load ----------------------------------------------------------------
 
     def load(self) -> List[RunRecord]:
         """Every loadable record, in append order.
 
-        Tolerates anything a crashed or newer writer can leave behind:
-        non-JSON lines (a truncated final line), JSON that is not a
-        record, and records with a schema version newer than this
-        reader. Skipped lines never hide the records around them.
+        Tolerates anything a crashed or newer writer can leave behind
+        (see :mod:`repro.obs.appendlog`) plus JSON objects that are not
+        records. Skipped lines never hide the records around them.
         """
-        try:
-            text = self.path.read_text()
-        except (FileNotFoundError, NotADirectoryError):
-            return []
-        except OSError:
-            return []
         records: List[RunRecord] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        for data in appendlog.read_records(self.path, SCHEMA_VERSION):
+            if "run_id" not in data:
                 continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated or garbage line: keep the rest
-            if not isinstance(data, dict) or "run_id" not in data:
-                continue
-            if data.get("schema", SCHEMA_VERSION) > SCHEMA_VERSION:
-                continue  # written by a newer repro: skip, don't guess
             try:
                 records.append(RunRecord.from_jsonable(data))
             except (KeyError, TypeError, AttributeError):

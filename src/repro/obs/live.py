@@ -27,6 +27,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.exposition import process_samples
+from repro.obs.metrics import quantile_bucket
 
 #: Default sampler cadence (seconds) — also the SSE delta cadence.
 DEFAULT_INTERVAL_S = 1.0
@@ -104,18 +105,10 @@ def _window_quantile(
     bucket's upper bound; overflow observations clamp to the last
     finite bound (JSON has no ``+Inf``).
     """
-    total = sum(delta_counts)
-    if not total:
+    index = quantile_bucket(delta_counts, q)
+    if index is None:
         return None
-    target = q * total
-    seen = 0
-    for index, count in enumerate(delta_counts):
-        seen += count
-        if seen >= target and count:
-            if index < len(buckets):
-                return float(buckets[index])
-            return float(buckets[-1])
-    return float(buckets[-1])
+    return float(buckets[min(index, len(buckets) - 1)])
 
 
 class LiveSampler:

@@ -67,6 +67,26 @@ class Gauge:
         return {"type": "gauge", "name": self.name, "value": self.value}
 
 
+def quantile_bucket(counts: Sequence[int], q: float) -> Optional[int]:
+    """Index of the bucket holding the ``q``-quantile of ``counts``.
+
+    ``counts`` are per-bucket counts with the overflow slot last, as a
+    :class:`Histogram` keeps them, so ``len(counts) - 1`` (the number of
+    finite bounds) means overflow. ``None`` when nothing was observed.
+    Callers map the index to a bound and choose their own overflow.
+    """
+    total = sum(counts)
+    if not total:
+        return None
+    target = q * total
+    seen = 0
+    for index, count in enumerate(counts):
+        seen += count
+        if seen >= target and count:
+            return index
+    return len(counts) - 1
+
+
 class Histogram:
     """Fixed-bucket distribution: per-bucket counts, sum and count.
 
@@ -108,16 +128,11 @@ class Histogram:
         """Bucket-resolution quantile (the bucket's upper bound)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        if not self.count:
+        index = quantile_bucket(self.counts, q)
+        if index is None:
             return None
-        target = q * self.count
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= target and count:
-                if index < len(self.buckets):
-                    return self.buckets[index]
-                return float("inf")
+        if index < len(self.buckets):
+            return self.buckets[index]
         return float("inf")
 
     def to_jsonable(self) -> Dict[str, Any]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.obs.metrics import quantile_bucket
 from repro.obs.sink import TraceData
 
 
@@ -124,17 +125,11 @@ def _hist_mean(metric: Dict[str, Any]) -> float:
 
 def _hist_quantile(metric: Dict[str, Any], q: float) -> str:
     """Bucket-resolution quantile bound, formatted."""
-    count = metric["count"]
-    if not count:
+    index = quantile_bucket(metric["counts"], q)
+    if index is None:
         return "-"
-    target = q * count
-    seen = 0
-    for index, bucket_count in enumerate(metric["counts"]):
-        seen += bucket_count
-        if seen >= target and bucket_count:
-            if index < len(metric["buckets"]):
-                return _fmt_s(metric["buckets"][index])
-            return ">max"
+    if index < len(metric["buckets"]):
+        return _fmt_s(metric["buckets"][index])
     return ">max"
 
 

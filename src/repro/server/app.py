@@ -19,7 +19,9 @@ Operational contract:
   handler thread: SIGTERM/SIGINT stop accepting, drain, then exit
   (130 for SIGINT, 0 for SIGTERM — matching the runner's convention).
   :meth:`stop` stops the live sampler *first* so blocked ``/events``
-  handlers wake and drain instead of deadlocking the join.
+  handlers wake and drain instead of deadlocking the join, and shuts
+  keep-alive connections idle between requests for reading so their
+  handlers end too.
 * **Observability.** Every request runs under an ``obs.span``
   (``server.request`` with route/path/status attrs) and feeds the
   ``server.requests`` counters plus per-route ``server.latency_s.*``
@@ -46,7 +48,7 @@ import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro import obs
 from repro.obs import exposition
@@ -54,7 +56,7 @@ from repro.server.state import RequestError, ServerState
 
 #: Routes the server understands (used for metric names and the index).
 ROUTES = (
-    "index", "healthz", "query", "artefact", "population", "history", "regress",
+    "index", "healthz", "query", "artefact", "history", "regress",
     "metrics", "stats", "events", "dashboard", "profile",
 )
 
@@ -113,6 +115,20 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.quiet:  # type: ignore[attr-defined]
             return
         super().log_message(format, *args)
+
+    def handle_one_request(self) -> None:
+        # Waiting for the next request on a keep-alive connection is the
+        # one place a handler blocks on the client rather than on work:
+        # register as idle there so stop() can wake the read.
+        server = self.server
+        server.connection_idle(self.connection)  # type: ignore[attr-defined]
+        try:
+            self.rfile.peek(1)
+        except OSError:
+            pass  # the request read below meets the same error
+        finally:
+            server.connection_busy(self.connection)  # type: ignore[attr-defined]
+        super().handle_one_request()
 
     def _span_header(self, status: int) -> Optional[str]:
         """The ``X-Repro-Span`` export for a traced request (else None).
@@ -242,10 +258,6 @@ class _Handler(BaseHTTPRequestHandler):
             return self._do_query(params)
         if route == "artefact":
             return self._do_artefact(parsed.path, params)
-        if route == "population":
-            by = params.pop("by", "") or None
-            self._send_json(200, self.state.population(by=by, where=params))
-            return 200
         if route == "history":
             self._send_json(200, self.state.history(
                 limit=_int_param(params, "limit", 50)))
@@ -410,6 +422,13 @@ class _Handler(BaseHTTPRequestHandler):
         return 200
 
 
+def _shut_read(connection: socket.socket) -> None:
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # already closed by the client or the handler
+
+
 def _int_param(params: Dict[str, str], name: str, default: int) -> int:
     raw = params.get(name, "")
     if not raw:
@@ -466,6 +485,11 @@ class MeasurementServer(ThreadingHTTPServer):
         self._serve_thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._stopped = threading.Event()
+        # Keep-alive connections waiting for their next request. Once
+        # stopping, they are shut for reading: a blocked read returns
+        # what the client already sent, then EOF, and the handler ends.
+        self._idle_lock = threading.Lock()
+        self._idle: Set[socket.socket] = set()
         # Telemetry plane. A TraceRecorder keeps a span object per
         # request — unbounded on a daemon — so when nothing is
         # collecting yet, install the metrics-only recorder (bounded by
@@ -515,6 +539,25 @@ class MeasurementServer(ThreadingHTTPServer):
             host = socket.gethostname()
         return f"http://{host}:{self.port}"
 
+    # -- idle keep-alive connections ------------------------------------------
+
+    def connection_idle(self, connection: socket.socket) -> None:
+        with self._idle_lock:
+            if self._stopping.is_set():
+                _shut_read(connection)
+            else:
+                self._idle.add(connection)
+
+    def connection_busy(self, connection: socket.socket) -> None:
+        with self._idle_lock:
+            self._idle.discard(connection)
+
+    def _wake_idle_connections(self) -> None:
+        with self._idle_lock:
+            for connection in self._idle:
+                _shut_read(connection)
+            self._idle.clear()
+
     # -- lifecycle ------------------------------------------------------------
 
     def warm_in_background(self) -> threading.Thread:
@@ -551,7 +594,9 @@ class MeasurementServer(ThreadingHTTPServer):
         joins handler threads, so an ``/events`` handler blocked in
         ``wait_for_event`` wakes (Condition broadcast), sees
         ``_stopping`` and finishes — otherwise the join would wait a
-        full SSE timeout per streaming client.
+        full SSE timeout per streaming client. Keep-alive connections
+        idle between requests are woken the same way; requests already
+        being handled finish first.
         """
         if self._stopping.is_set():
             self._stopped.wait(timeout=30.0)
@@ -559,6 +604,7 @@ class MeasurementServer(ThreadingHTTPServer):
         self._stopping.set()
         self.sampler.stop()
         self.shutdown()
+        self._wake_idle_connections()
         self.server_close()  # block_on_close joins handler threads
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=30.0)

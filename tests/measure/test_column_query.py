@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.columns import ColumnStore
-from repro.measure import query as query_mod
 from repro.measure.query import ColumnQuery
 
 
@@ -81,18 +80,3 @@ def test_count_by_numeric_column(store):
 def test_count_by_respects_filters(store):
     counts = ColumnQuery(store).where(kind=1).count_by("country")
     assert counts == {"ESP": 1, "JPN": 2}
-
-
-def test_pure_python_fallback_matches_numpy(store, monkeypatch):
-    expected = {
-        "count": ColumnQuery(store).where(country="JPN").count(),
-        "sum": ColumnQuery(store).where(country="JPN").sum("volume"),
-        "by": ColumnQuery(store).where(kind=1).count_by("country"),
-        "total": ColumnQuery(store).count(),
-    }
-    monkeypatch.setattr(query_mod, "_np", None)
-    q = ColumnQuery(store)
-    assert q.where(country="JPN").count() == expected["count"]
-    assert q.where(country="JPN").sum("volume") == expected["sum"]
-    assert q.where(kind=1).count_by("country") == expected["by"]
-    assert q.count() == expected["total"]

@@ -1,8 +1,10 @@
 """The measurement service: routing, warmup, concurrency, shutdown."""
 
+import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -172,42 +174,6 @@ def test_artefact_served_from_memo_after_warm(server):
     assert "b-MNO" in rendered["rendered"]
 
 
-def test_population_route_matches_direct_stats(server):
-    from repro.experiments import common
-
-    status, payload = _get(f"{server.url}/population")
-    assert status == 200
-    population = common.get_population(server.state.seed, server.state.scale)
-    assert payload["subscribers"] == len(population)
-    assert payload["stats"]["esims"] + payload["stats"]["physical_sims"] == (
-        payload["subscribers"]
-    )
-    assert payload["store_bytes"] == population.store.nbytes
-
-
-def test_population_route_pivots_and_filters(server):
-    status, payload = _get(f"{server.url}/population?by=architecture")
-    assert status == 200
-    assert sum(payload["counts"].values()) == payload["subscribers"]
-
-    status, by_kind = _get(f"{server.url}/population?by=kind&country=jpn")
-    assert status == 200
-    assert set(by_kind["counts"]) <= {"esim", "physical"}
-    assert by_kind["subscribers"] == sum(by_kind["counts"].values())
-    assert by_kind["where"] == {"country": "JPN"}
-
-    status, payload = _get(f"{server.url}/population?by=bogus")
-    assert status == 400
-    status, payload = _get(f"{server.url}/population?bogus=1")
-    assert status == 400
-
-
-def test_healthz_reports_subscribers(server):
-    status, payload = _get(f"{server.url}/healthz")
-    assert status == 200
-    assert payload["subscribers"] > 0
-
-
 def test_history_endpoint_lists_seeded_run(server):
     status, payload = _get(f"{server.url}/history")
     assert status == 200
@@ -275,6 +241,68 @@ def test_stop_drains_in_flight_requests():
     assert stop_wall >= 0.5
     assert outcome["status"] == 200
     assert outcome["payload"]["count"] > 0
+
+
+def test_stop_wakes_idle_keep_alive_connections():
+    srv = create_server(scale=0.02, datasets=(), warm_artefacts=()).start()
+    assert srv.state.ready.wait(timeout=120), srv.state.warm_error
+    # One connection idle after a request, one that never sent anything.
+    used = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30.0)
+    used.request("GET", "/healthz")
+    response = used.getresponse()
+    assert response.status == 200
+    response.read()
+    silent = socket.create_connection(("127.0.0.1", srv.port), timeout=30.0)
+    try:
+        stopper = threading.Thread(target=srv.stop, daemon=True)
+        started = time.perf_counter()
+        stopper.start()
+        stopper.join(timeout=2.0)
+        assert not stopper.is_alive(), "stop() hung on idle keep-alive connections"
+        assert time.perf_counter() - started < 2.0
+    finally:
+        used.close()
+        silent.close()
+
+
+def test_stop_drains_busy_keep_alive_clients():
+    """Clients looping on keep-alive connections cannot hold stop() open."""
+    srv = create_server(scale=0.02, datasets=(), warm_artefacts=()).start()
+    assert srv.state.ready.wait(timeout=120), srv.state.warm_error
+    statuses = []
+    stop_clients = threading.Event()
+
+    def client():
+        conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30.0)
+        try:
+            while not stop_clients.is_set():
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+        except (OSError, http.client.HTTPException):
+            pass  # the server closed the connection while draining
+        finally:
+            conn.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    clients = [threading.Thread(target=client, daemon=True) for _ in range(6)]
+    try:
+        for thread in clients:
+            thread.start()
+        time.sleep(0.5)
+        stopper = threading.Thread(target=srv.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive(), "stop() hung on busy keep-alive clients"
+    finally:
+        sys.setswitchinterval(interval)
+        stop_clients.set()
+        for thread in clients:
+            thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in clients)
+    assert statuses and set(statuses) == {200}
 
 
 def test_sigterm_shuts_down_with_exit_zero(tmp_path):
