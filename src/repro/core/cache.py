@@ -249,6 +249,14 @@ class ArtifactCache:
             found.append(CacheEntryInfo(key=path.stem, size_bytes=size))
         return found
 
+    def entry_count(self) -> int:
+        """``len(self.entries())``, counted by name: no ``stat`` per entry."""
+        try:
+            with os.scandir(self.root) as listing:
+                return sum(1 for item in listing if item.name.endswith(_SUFFIX))
+        except OSError:
+            return 0
+
     def total_bytes(self) -> int:
         return sum(entry.size_bytes for entry in self.entries())
 

@@ -169,16 +169,38 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_body(status, text.encode("utf-8"), content_type)
 
     def _send_body(
-        self, status: int, body: bytes, content_type: str
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in extra_headers:
+            self.send_header(name, value)
         span_export = self._span_header(status)
         if span_export is not None:
             self.send_header("X-Repro-Span", span_export)
-        self.end_headers()
-        self.wfile.write(body)
+        self._end_headers_with(body)
+
+    def _end_headers_with(self, payload: bytes) -> None:
+        """End the header block and send it with ``payload`` in one write.
+
+        ``wfile`` is unbuffered, so ``end_headers()`` followed by
+        ``wfile.write(body)`` is two segments. Nagle's algorithm holds
+        the second until the client ACKs the first, and the client
+        delays that ACK (~40 ms on Linux): every keep-alive response
+        would wait out the timer. One write avoids it without a socket
+        option.
+        """
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(payload)  # HTTP/0.9 responses have no head
+            return
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(payload)
+        self.flush_headers()
 
     def _error(self, status: int, message: str) -> int:
         self._send_json(status, {"error": message, "status": status})
@@ -327,8 +349,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200
 
     def _sse_write(self, event: str, data: Any) -> None:
-        payload = json.dumps(data, sort_keys=True)
-        self.wfile.write(f"event: {event}\ndata: {payload}\n\n".encode())
+        self.wfile.write(_sse_frame(event, data))
         self.wfile.flush()
 
     def _do_events(self, params: Dict[str, str]) -> int:
@@ -349,11 +370,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
         self.send_header("Connection", "close")
-        self.end_headers()
         stopping = self.server._stopping
         try:
-            self.wfile.write(b"retry: 2000\n\n")
-            self._sse_write("hello", {"sampler": sampler.info()})
+            # Headers, reconnect hint and hello go out as one write, so
+            # the first event never waits behind a delayed ACK.
+            self._end_headers_with(
+                b"retry: 2000\n\n"
+                + _sse_frame("hello", {"sampler": sampler.info()})
+            )
             seen = sampler.ticks
             sent = 0
             while not stopping.is_set():
@@ -412,14 +436,18 @@ class _Handler(BaseHTTPRequestHandler):
             profiler.run_for(seconds, abort=self.server._stopping)
         finally:
             lock.release()
-        body = profiler.collapsed()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body.encode("utf-8"))))
-        self.send_header("X-Repro-Profile-Ticks", str(profiler.samples))
-        self.end_headers()
-        self.wfile.write(body.encode("utf-8"))
+        self._send_body(
+            200,
+            profiler.collapsed().encode("utf-8"),
+            "text/plain; charset=utf-8",
+            extra_headers=(("X-Repro-Profile-Ticks", str(profiler.samples)),),
+        )
         return 200
+
+
+def _sse_frame(event: str, data: Any) -> bytes:
+    payload = json.dumps(data, sort_keys=True)
+    return f"event: {event}\ndata: {payload}\n\n".encode()
 
 
 def _shut_read(connection: socket.socket) -> None:

@@ -179,9 +179,9 @@ class ServerState:
         if self.warm_error:
             payload["error"] = self.warm_error.strip().splitlines()[-1]
         if self.ready.is_set():
-            payload["cache_entries"] = cache_mod.get_default_cache().info()[
-                "entry_count"
-            ]
+            payload["cache_entries"] = (
+                cache_mod.get_default_cache().entry_count()
+            )
             payload["artefacts"] = len(registry.artefact_ids())
         return payload
 

@@ -121,6 +121,16 @@ def test_clear_on_missing_root(tmp_path):
     assert ArtifactCache(root=tmp_path / "never-created").clear() == 0
 
 
+def test_entry_count_matches_info(store):
+    assert store.entry_count() == store.info()["entry_count"] == 0
+    store.store(fingerprint("a", n=1), "x")
+    store.store(fingerprint("b", n=2), "y")
+    # A stray temp file from a crashed writer is not an entry.
+    (store.root / ".stray.tmp").write_bytes(b"partial")
+    assert store.entry_count() == store.info()["entry_count"] == 2
+    assert ArtifactCache(root=store.root / "missing").entry_count() == 0
+
+
 # -- integration with the experiment layer ----------------------------------
 
 def test_corrupt_disk_entry_triggers_rebuild(tmp_path):
